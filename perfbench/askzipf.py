@@ -8,9 +8,9 @@ drives it from this process with at most two connections.
 
 Queries pick a cell by Zipf(1.1) rank over a seeded shuffle of all
 cells and ask in either direction (probability -> range or range ->
-probability): ~62% at the exact grid side, ~36% between two grid sides,
-~2% at a few sides outside the grid (answered ``refine=true``, which
-enqueues a refinement no worker drains).
+probability, half each): 62% at the exact grid side, 36% between two
+grid sides, 2% at a few sides outside the grid (answered
+``refine=true``, which enqueues a refinement no worker drains).
 """
 
 from __future__ import annotations
@@ -35,15 +35,21 @@ SIDES: Tuple[float, ...] = tuple(1024.0 + 32.0 * k for k in range(512))
 #: Off-grid sides (below and above the grid); few, so refinements dedupe.
 OFF_SIDES: Tuple[float, ...] = (256.0, 576.0, 900.0, 17600.0, 19000.0, 24000.0)
 ZIPF_EXPONENT = 1.1
-EXACT_SHARE, BETWEEN_SHARE = 0.62, 0.36  # the rest is off-grid
+#: Query kinds are dealt from shuffled decks holding them in fixed
+#: proportion (62% exact, 36% between, 2% off-grid), so every phase gets
+#: the same mix; kinds differ several-fold in cost, and an independent
+#: draw per query would move the median with the sample's mix.
+KIND_DECK = ("exact",) * 31 + ("between",) * 18 + ("off",)
 
-#: Open-loop rates, about 1/4 and 2/3 of the ~110/s closed-loop capacity
+#: Open-loop rates, about 1/5 and 1/2 of the ~110/s closed-loop capacity
 #: this grid allows on a 2-core host: every store key hashes the spec's
 #: 512-side payload, so each answer costs milliseconds, not microseconds.
-LIGHT_RPS = 30.0
-LOADED_RPS = 70.0
+#: The light rate stays low enough that a host running twice as slow
+#: still queues little, so light-rate latency follows service time.
+LIGHT_RPS = 20.0
+LOADED_RPS = 50.0
 #: Shares of ``--seconds`` given to the light, loaded and closed phases.
-LIGHT_SHARE, LOADED_SHARE, CLOSED_SHARE = 0.55, 0.15, 0.3
+LIGHT_SHARE, LOADED_SHARE, CLOSED_SHARE = 0.6, 0.1, 0.3
 CONNECTIONS = 2
 #: Answers per closed-loop batch; ``wall_s`` is a batch's median wall time.
 BATCH = 100
@@ -128,21 +134,25 @@ def query_stream(seed: int, rows: Dict[str, List[dict]]) -> Iterator[dict]:
     weights = list(
         accumulate(1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(len(cells)))
     )
+    kinds: List[str] = []
+    directions: List[bool] = []
     while True:
+        if not kinds:
+            kinds = rng.sample(KIND_DECK, len(KIND_DECK))
+            directions = rng.sample([True, False] * (len(KIND_DECK) // 2), len(KIND_DECK))
+        kind, inverse = kinds.pop(), directions.pop()
         model, index = rng.choices(cells, cum_weights=weights)[0]
-        draw = rng.random()
-        if draw < EXACT_SHARE:
-            kind, side, bracket = "exact", SIDES[index], [rows[model][index]]
-        elif draw < EXACT_SHARE + BETWEEN_SHARE:
+        if kind == "exact":
+            side, bracket = SIDES[index], [rows[model][index]]
+        elif kind == "between":
             index = min(index, len(SIDES) - 2)
-            kind = "between"
             side = SIDES[index] + 32.0 * rng.uniform(0.05, 0.95)
             bracket = [rows[model][index], rows[model][index + 1]]
         else:
-            kind, side, bracket = "off", rng.choice(OFF_SIDES), [rows[model][index]]
+            side, bracket = rng.choice(OFF_SIDES), [rows[model][index]]
         document = {"model": model, "side": side}
         query = {"kind": kind, "rows": bracket, "document": document}
-        if rng.random() < 0.5:
+        if inverse:
             if kind == "exact" and rng.random() < 0.5:
                 column, probability = rng.choice(checks.KNOTS)
                 query["knot"] = column
