@@ -24,7 +24,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from common import BENCH, ROOT, seeds_from, spread
 
