@@ -5,7 +5,7 @@ through an :class:`~repro.backend.ArrayBackend` handle — a namespace
 attribute plus a handful of idiom-helper method calls per Prim iteration
 — instead of hard-coded ``numpy`` calls.  That seam is only acceptable if
 the default path pays (close to) nothing for it: this benchmark times the
-seam kernels against hand-inlined pre-seam NumPy equivalents on the
+seam kernels against hand-inlined NumPy equivalents on the
 per-frame hot path (batched MST construction over a trajectory-sized
 batch of frames) and enforces an overhead bar of < 2%.
 
@@ -44,38 +44,34 @@ _TRIALS = 7
 _OVERHEAD_BAR = 0.02
 
 
-def _inline_squared_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """`squared_distance_matrix` exactly as written before the seam."""
-    count, dimension = points.shape
-    if dimension == 0:
-        return np.zeros((count, count))
-    column = points[:, 0]
-    delta = column[:, None] - column[None, :]
-    squared = delta * delta
-    for axis in range(1, dimension):
-        column = points[:, axis]
-        delta = column[:, None] - column[None, :]
-        squared += delta * delta
-    return squared
-
-
 def _inline_mst_batch(frames: np.ndarray):
-    """`minimum_spanning_edges_batch` exactly as written before the seam.
+    """Matrix-free `minimum_spanning_edges_batch` with no seam dispatch.
 
-    Direct fancy indexing, in-place masked stores and ``np.minimum`` where
-    the seam version calls ``backend.take_pairs`` / ``backend.put_pairs``
-    / ``backend.fill_mask`` — the code the refactor replaced, kept here as
-    the dispatch-free baseline.
+    The same algorithm as the seam kernel — each Prim step builds the
+    chosen nodes' ``(B, n)`` squared-distance rows from the coordinate
+    planes, ascending ``k`` — but with direct fancy indexing and in-place
+    masked stores where the seam version calls ``backend.take_pairs`` /
+    ``backend.put_pairs``: the dispatch-free baseline.
     """
     points = np.asarray(frames, dtype=np.float64)
-    batch, n, _ = points.shape
-    squared = np.stack(
-        [_inline_squared_distance_matrix(points[index]) for index in range(batch)]
-    )
+    batch, n, dimension = points.shape
+    columns = [points[:, :, axis].copy() for axis in range(dimension)]
     batch_index = np.arange(batch)
-    in_tree = np.zeros((batch, n), dtype=bool)
-    in_tree[:, 0] = True
-    best = squared[:, 0, :].copy()
+
+    def squared_row(candidate):
+        deltas = [
+            column[batch_index, candidate][:, None] - column for column in columns
+        ]
+        squared = deltas[0]
+        squared *= squared
+        for delta in deltas[1:]:
+            delta *= delta
+            squared += delta
+        return squared
+
+    outside = np.ones((batch, n), dtype=bool)
+    outside[:, 0] = False
+    best = squared_row(np.zeros(batch, dtype=np.int64))
     best[:, 0] = math.inf
     parent = np.zeros((batch, n), dtype=np.int64)
     us = np.empty((batch, n - 1), dtype=np.int64)
@@ -86,10 +82,11 @@ def _inline_mst_batch(frames: np.ndarray):
         us[:, index] = parent[batch_index, candidate]
         vs[:, index] = candidate
         lengths[:, index] = best[batch_index, candidate]
-        in_tree[batch_index, candidate] = True
+        outside[batch_index, candidate] = False
         best[batch_index, candidate] = math.inf
-        row = np.where(in_tree, math.inf, squared[batch_index, candidate, :])
+        row = squared_row(candidate)
         closer = row < best
+        closer &= outside
         parent = np.where(closer, candidate[:, None], parent)
         best = np.where(closer, row, best)
     order = np.argsort(lengths, axis=1, kind="stable")

@@ -118,10 +118,6 @@ class ArrayBackend:
         array[rows, cols] = value
         return array
 
-    def take_rows(self, array: Any, rows: Any, cols: Any) -> Any:
-        """Row gather ``array[rows, cols, :]`` from a ``(B, n, n)`` stack."""
-        return array[rows, cols, :]
-
     def minimum_update(self, accumulator: Any, update: Any) -> Any:
         """Return ``elementwise_min(accumulator, update)``.
 
@@ -256,12 +252,6 @@ class _StrictBackend(ArrayBackend):
         width = array.shape[1]
         hit = self.xp.reshape(cols, (-1, 1)) == self.xp.arange(width)
         return self.xp.where(hit, self.xp.asarray(value, dtype=array.dtype), array)
-
-    def take_rows(self, array: Any, rows: Any, cols: Any) -> Any:
-        taken = self.xp.take_along_axis(
-            array, self.xp.reshape(cols, (-1, 1, 1)), axis=1
-        )
-        return self.xp.squeeze(taken, axis=1)
 
     def minimum_update(self, accumulator: Any, update: Any) -> Any:
         return self.xp.minimum(accumulator, update)

@@ -267,9 +267,9 @@ class CampaignScheduler:
         # iteration count fold into trajectory shards — see
         # :func:`repro.simulation.sharding.resolve_shard_plan` — instead
         # of idling), otherwise the whole budget for any measure that can
-        # resize its nested pools (e.g. the stationary sweep parallelises
-        # its placement draws), and 1 for measures that cannot use extra
-        # workers at all.
+        # resize its nested pools (e.g. the energy-tradeoff sweep, whose
+        # rows run the mobile simulation), and 1 for measures that cannot
+        # use extra workers at all.
         iterations = experiment.checkpoint_iterations(scale)
         if iterations is not None:
             job.width = max(1, iterations) * max_useful_shards(scale.steps)

@@ -11,7 +11,7 @@ experiments::
     adhoc-connectivity run fig2 --scale paper --total-workers 8
     adhoc-connectivity run fig2 --scale paper --workers 8 --shard-steps 2500
     adhoc-connectivity run fig2 --scale paper --transport shm
-    adhoc-connectivity stationary --side 1024 --nodes 32 --workers 4
+    adhoc-connectivity stationary --side 1024 --nodes 32
     adhoc-connectivity campaign run grid.toml --store .repro-store
     adhoc-connectivity campaign run grid.toml --total-workers 8
     adhoc-connectivity campaign status grid.toml --store .repro-store
@@ -171,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     stationary_parser.add_argument("--iterations", type=int, default=200)
     stationary_parser.add_argument("--confidence", type=float, default=0.99)
     stationary_parser.add_argument("--seed", type=int, default=None)
-    stationary_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the placement draws",
-    )
     stationary_parser.add_argument(
         "--backend",
         default="numpy",
@@ -1122,7 +1116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             iterations=arguments.iterations,
             seed=arguments.seed,
             confidence=arguments.confidence,
-            workers=arguments.workers,
             backend=arguments.backend,
         )
         print(

@@ -132,10 +132,11 @@ def minimum_spanning_edges_batch(
     overhead of the ``n - 1`` loop iterations is amortised across the whole
     batch — this is what makes reducing a 10 000-step trajectory cheap.
 
-    Per-frame squared distance matrices are computed with
-    :func:`repro.geometry.distance.squared_distance_matrix`, so every edge
-    length (and therefore every derived threshold) is bit-identical to the
-    single-frame code path.
+    Matrix-free: each iteration builds only the chosen nodes' ``(B, n)``
+    squared-distance rows, summing ``(a_k - b_k)^2`` in ascending ``k`` as
+    :func:`repro.geometry.distance.squared_distance_matrix` does, so every
+    edge length (and derived threshold) is bit-identical to the
+    single-frame code path while memory stays ``O(B n)``.
 
     ``backend`` selects the array namespace (:mod:`repro.backend`).  The
     frames must already live on that backend and the returned arrays stay
@@ -146,24 +147,38 @@ def minimum_spanning_edges_batch(
     backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     xp = backend.xp
     points = xp.asarray(frames, dtype=xp.float64)
-    if points.ndim != 3:
+    if points.ndim != 3 or points.shape[2] == 0:
         raise AnalysisError(
-            f"expected a (B, n, d) batch of frames, got shape {points.shape}"
+            f"expected a (B, n, d >= 1) batch of frames, got shape {points.shape}"
         )
-    batch, n, _ = points.shape
+    batch, n, dimension = points.shape
     if n <= 1 or batch == 0:
         return (
             xp.empty((batch, 0), dtype=xp.int64),
             xp.empty((batch, 0), dtype=xp.int64),
             xp.empty((batch, 0), dtype=xp.float64),
         )
-    squared = xp.stack(
-        [squared_distance_matrix(points[index, ...], xp=xp) for index in range(batch)]
-    )
+    # Contiguous (B, n) coordinate planes keep the per-step row passes
+    # unit-stride.
+    columns = [backend.copy(points[:, :, axis]) for axis in range(dimension)]
     batch_index = xp.arange(batch)
-    in_tree = xp.zeros((batch, n), dtype=xp.bool)
-    in_tree[:, 0] = True
-    best = backend.copy(squared[:, 0, :])
+
+    def squared_row(candidate):
+        """Squared distances from each frame's ``candidate`` to every node."""
+        deltas = [
+            backend.take_pairs(column, batch_index, candidate)[:, None] - column
+            for column in columns
+        ]
+        squared = deltas[0]
+        squared *= squared
+        for delta in deltas[1:]:
+            delta *= delta
+            squared += delta
+        return squared
+
+    outside = xp.ones((batch, n), dtype=xp.bool)
+    outside[:, 0] = False
+    best = squared_row(xp.zeros(batch, dtype=xp.int64))
     best[:, 0] = math.inf
     parent = xp.zeros((batch, n), dtype=xp.int64)
     us = xp.empty((batch, n - 1), dtype=xp.int64)
@@ -174,10 +189,12 @@ def minimum_spanning_edges_batch(
         us[:, index] = backend.take_pairs(parent, batch_index, candidate)
         vs[:, index] = candidate
         lengths[:, index] = backend.take_pairs(best, batch_index, candidate)
-        in_tree = backend.put_pairs(in_tree, batch_index, candidate, True)
+        outside = backend.put_pairs(outside, batch_index, candidate, False)
         best = backend.put_pairs(best, batch_index, candidate, math.inf)
-        row = xp.where(in_tree, math.inf, backend.take_rows(squared, batch_index, candidate))
+        row = squared_row(candidate)
+        # Tree nodes keep best == inf: only outside nodes may get closer.
         closer = row < best
+        closer &= outside
         parent = xp.where(closer, candidate[:, None], parent)
         best = xp.where(closer, row, best)
     order = backend.stable_argsort(lengths, axis=1)

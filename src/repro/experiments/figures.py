@@ -87,7 +87,6 @@ def measure_system_size(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        workers=scale.workers,
         backend=scale.backend,
     )
     spec = _mobility_spec_for(model, side, **(mobility_overrides or {}))
@@ -289,7 +288,6 @@ def _r100_ratio_row(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        workers=scale.workers,
         backend=scale.backend,
     )
     spec = MobilitySpec.paper_waypoint(side, **mobility_overrides)

@@ -71,10 +71,18 @@ __all__ = [
     "reduce_frames_statistics",
     "simulate_frame_statistics",
     "simulate_iteration",
+    "start_model",
 ]
 
-#: Upper bound on the floats buffered per trajectory batch (~16 MB).
+#: Per-batch budget of the frame reduction, ``n * n`` (the Prim work) per
+#: frame.  The matrix-free MST holds only ``(B, n)`` rows, so this is a
+#: cache bound, not a memory one: larger batches reduce measurably slower.
 _TRAJECTORY_BATCH_ELEMENTS = 2_000_000
+
+
+def _frames_per_batch(n: int, dimension: int) -> int:
+    """Frames per reduction batch under ``_TRAJECTORY_BATCH_ELEMENTS``."""
+    return max(1, _TRAJECTORY_BATCH_ELEMENTS // max(1, n * n, n * dimension))
 
 
 def component_growth_curve(positions: Positions) -> Tuple[Tuple[float, int], ...]:
@@ -287,15 +295,11 @@ def _iter_trajectory_batches(
     wherever the previous one left the model.  ``include_current=False``
     yields only the *next* ``steps`` frames — what a trajectory shard that
     resumes from a mid-run checkpoint needs, since its predecessor already
-    produced the current frame.  Batch sizes are capped so a 10 000-step
-    trajectory never buffers more than ``_TRAJECTORY_BATCH_ELEMENTS``
-    floats at once — counting the per-frame ``(n, n)`` squared distance
-    matrices the batched reduction stacks, not just the ``(n, d)``
-    positions.
+    produced the current frame.  Batch sizes follow
+    :func:`_frames_per_batch`, so a 10 000-step trajectory is reduced in
+    cache-sized pieces rather than one long batch.
     """
-    n, dimension = model.state.positions.shape
-    per_frame = max(1, n * n, n * dimension)
-    batch_size = max(1, _TRAJECTORY_BATCH_ELEMENTS // per_frame)
+    batch_size = _frames_per_batch(*model.state.positions.shape)
     produced = 0
     first = include_current
     while produced < steps:
@@ -345,19 +349,14 @@ def reduce_frame_statistics(
 def _iter_frame_batches(frames: np.ndarray) -> Iterator[np.ndarray]:
     """Yield slices of a pre-generated ``(k, n, d)`` frame array.
 
-    Batch sizes follow exactly the :func:`_iter_trajectory_batches` cap —
-    the reduction stacks per-frame ``(n, n)`` distance matrices, so the
-    memory bound must hold whether the frames come from a live model or
-    arrive pre-generated (frame-handing shards) — and since
+    Batch sizes follow exactly the :func:`_iter_trajectory_batches` cap,
+    whether the frames come from a live model or arrive pre-generated
+    (frame-handing shards, stacked stationary placements) — and since
     :func:`frame_statistics_columns` is per-frame independent, the
     concatenated result is bit-identical for every batch split.
     """
     total = int(frames.shape[0])
-    if total == 0:
-        return
-    n, dimension = frames.shape[1], frames.shape[2]
-    per_frame = max(1, n * n, n * dimension)
-    batch_size = max(1, _TRAJECTORY_BATCH_ELEMENTS // per_frame)
+    batch_size = _frames_per_batch(frames.shape[1], frames.shape[2])
     for start in range(0, total, batch_size):
         yield frames[start : start + batch_size]
 
@@ -433,6 +432,20 @@ def reduce_fixed_range(
     )
 
 
+def start_model(
+    network: NetworkConfig, mobility: MobilitySpec, rng: np.random.Generator
+) -> MobilityModel:
+    """Draw a placement and bind a fresh mobility model to it, both on ``rng``.
+
+    The head of every iteration, whichever code path runs it.
+    """
+    region = network.region
+    placement = network.placement_strategy(network.node_count, region, rng)
+    model = mobility.create()
+    model.initialize(placement, region, rng)
+    return model
+
+
 def simulate_iteration(
     network: NetworkConfig,
     mobility: MobilitySpec,
@@ -455,10 +468,7 @@ def simulate_iteration(
     :class:`~repro.simulation.results.StepColumns` (two arrays per
     iteration) rather than per-step objects.
     """
-    region = network.region
-    placement = network.placement_strategy(network.node_count, region, rng)
-    model = mobility.create()
-    model.initialize(placement, region, rng)
+    model = start_model(network, mobility, rng)
     return IterationResult(
         iteration=iteration,
         node_count=network.node_count,
@@ -487,10 +497,7 @@ def simulate_frame_statistics(
     MobilityModel.trajectory` (the stationary, waypoint and drunkard models
     — every model the paper uses) skip the per-step Python overhead.
     """
-    region = network.region
-    placement = network.placement_strategy(network.node_count, region, rng)
-    model = mobility.create()
-    model.initialize(placement, region, rng)
+    model = start_model(network, mobility, rng)
     return reduce_frame_statistics(model, steps, rng, backend=backend)
 
 

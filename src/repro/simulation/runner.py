@@ -64,20 +64,24 @@ from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, TypeVar
 
+import numpy as np
+
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.supervision import run_supervised
 from repro.simulation.engine import (
     FrameStatisticsColumns,
+    reduce_frames_statistics,
     simulate_frame_statistics,
     simulate_iteration,
+    start_model,
 )
+from repro.simulation.metrics import range_for_connectivity_fraction
 from repro.simulation.results import (
     IterationResult,
     MobileRunResult,
     StepColumns,
-    pool_frame_statistics,
 )
 from repro.simulation.sharding import (
     capture_iteration_frames,
@@ -196,30 +200,6 @@ def _adopt_iteration(result):
             return result
         return replace(result, records=records)
     return adopt_result(result)
-
-
-def _release_unadopted(futures) -> None:
-    """Adopt-and-drop the results of futures a failed gather abandoned.
-
-    When one task of a parallel run raises, tasks that already finished
-    may have parked shared-memory segments that no one will ever adopt;
-    adopting them here (the views die immediately) unlinks the segments
-    now instead of leaving them mapped in ``/dev/shm`` until interpreter
-    exit.  Called after the pool has shut down, so every future is
-    settled.  Every failure is swallowed — this runs on an exception
-    path and must not mask the original error.
-
-    Since PR 7 the gathers run through :func:`repro.supervision.
-    run_supervised`, whose fatal path applies the same adopt-and-drop via
-    its ``release`` hook; this helper remains the shared implementation
-    idiom for direct callers (tests, ad-hoc gathers).
-    """
-    for future in futures:
-        try:
-            if future.done() and not future.cancelled():
-                _adopt_iteration(future.result())
-        except Exception:
-            pass
 
 
 def _staging_sweeper(checkpoint) -> Optional[Callable[[], None]]:
@@ -526,7 +506,6 @@ def stationary_critical_range(
     seed: Optional[int] = None,
     confidence: float = 0.99,
     placement: str = "uniform",
-    workers: int = 1,
     backend: str = "numpy",
 ) -> float:
     """Estimate ``rstationary``: the range connecting random static placements.
@@ -539,6 +518,10 @@ def stationary_critical_range(
     those values — i.e. the range at which a fraction ``confidence`` of
     random placements is connected.
 
+    Placement ``i`` is drawn on child stream ``i``, as one-step stationary
+    iteration ``i`` of :func:`collect_frame_statistics` would draw it, and
+    all placements are reduced as one ``(iterations, n, d)`` frame batch.
+
     Args:
         node_count: number of nodes ``n``.
         side: region side ``l``.
@@ -548,29 +531,23 @@ def stationary_critical_range(
         confidence: the quantile of per-placement critical ranges returned;
             1.0 returns the maximum observed.
         placement: placement strategy name (default ``uniform``).
-        workers: process count for the placement draws (1 = serial;
-            results are bit-identical for every value).
         backend: array backend for the connectivity kernels
             (:mod:`repro.backend`).
     """
-    from repro.simulation.config import MobilitySpec, NetworkConfig
-    from repro.simulation.metrics import range_for_connectivity_fraction
-
     if not 0.0 < confidence <= 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1], got {confidence}")
+    if iterations < 1:
+        raise ConfigurationError(f"iterations must be at least 1, got {iterations}")
     network = NetworkConfig(
         node_count=node_count, side=side, dimension=dimension, placement=placement
     )
-    config = SimulationConfig(
-        network=network,
-        mobility=MobilitySpec.stationary(),
-        steps=1,
-        iterations=iterations,
-        seed=seed,
-        workers=workers,
-        backend=backend,
-    )
-    statistics = collect_frame_statistics(config)
-    # Each iteration contributes exactly one frame (steps == 1); pool them.
-    pooled = pool_frame_statistics(statistics)
-    return range_for_connectivity_fraction(pooled, confidence)
+    mobility = MobilitySpec.stationary()
+    source = RandomSource(seed)
+    with telemetry.span("stationary", placements=iterations):
+        frames = []
+        for index in range(iterations):
+            rng = source.child(index)
+            model = start_model(network, mobility, rng)
+            frames.append(model.trajectory(1, rng)[0])
+        statistics = reduce_frames_statistics(np.stack(frames), backend=backend)
+    return range_for_connectivity_fraction(statistics, confidence)

@@ -56,6 +56,7 @@ from repro.simulation.engine import (
     reduce_frame_statistics,
     reduce_frames_fixed_range,
     reduce_frames_statistics,
+    start_model,
 )
 from repro.simulation.results import TrajectoryFrames
 from repro.simulation.shm import adopt_result, share_columns
@@ -170,10 +171,7 @@ def capture_shard_checkpoints(
     with telemetry.span(
         "shard.fast_forward", chunks=len(chunks), steps=sum(chunks)
     ):
-        region = network.region
-        placement = network.placement_strategy(network.node_count, region, rng)
-        model = mobility.create()
-        model.initialize(placement, region, rng)
+        model = start_model(network, mobility, rng)
         checkpoints = [model.checkpoint_state(rng)]
         for index in range(1, len(chunks)):
             # Chunk 0 includes the current (initial) frame, so it consumes
@@ -220,10 +218,7 @@ def capture_shard_frames(
     with telemetry.span(
         "shard.capture_frames", chunks=len(chunks), steps=sum(chunks)
     ):
-        region = network.region
-        placement = network.placement_strategy(network.node_count, region, rng)
-        model = mobility.create()
-        model.initialize(placement, region, rng)
+        model = start_model(network, mobility, rng)
         shards = []
         for index, length in enumerate(chunks):
             if index == 0:

@@ -39,6 +39,7 @@ only the hand-off cost differs.
 from __future__ import annotations
 
 import atexit
+import secrets
 import threading
 import weakref
 from dataclasses import dataclass
@@ -107,6 +108,24 @@ def _shared_memory():
     return _shared_memory_module
 
 
+def _create_segment(size: int) -> Any:
+    """``SharedMemory(create=True)`` that no kill can orphan.
+
+    CPython registers a segment with the resource tracker only after its
+    ``/dev/shm`` file exists; a worker SIGKILLed in between (a broken
+    pool's survivors are) would leak it.  So the name is registered first.
+    """
+    from multiprocessing import resource_tracker
+
+    while True:
+        name = f"psm_{secrets.token_hex(4)}"  # CPython's own naming scheme
+        resource_tracker.register(f"/{name}", "shared_memory")
+        try:
+            return _shared_memory().SharedMemory(name=name, create=True, size=size)
+        except FileExistsError:
+            resource_tracker.unregister(f"/{name}", "shared_memory")
+
+
 def shm_available() -> bool:
     """``True`` when POSIX shared memory actually works on this host.
 
@@ -116,7 +135,7 @@ def shm_available() -> bool:
     global _shm_probe
     if _shm_probe is None:
         try:
-            segment = _shared_memory().SharedMemory(create=True, size=16)
+            segment = _create_segment(16)
             segment.close()
             segment.unlink()  # also unregisters from the resource tracker
             _shm_probe = True
@@ -403,7 +422,7 @@ def share_columns(columns: Any, transport: str = "auto") -> Any:
     if total == 0 or not shm_available():
         return columns
     try:
-        segment = _shared_memory().SharedMemory(create=True, size=total)
+        segment = _create_segment(total)
     except Exception:
         return columns  # graceful fallback: the pickle transport always works
     layout: List[Tuple[str, str, Tuple[int, ...], int]] = []

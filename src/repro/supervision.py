@@ -166,7 +166,7 @@ def _drain_and_release(
 ) -> None:
     """Failure-path cleanup: settle stragglers, release their payloads.
 
-    Mirrors the PR 5/6 ``_release_unadopted`` contract: the pool shuts
+    Mirrors the legacy adopt-and-drop gather contract: the pool shuts
     down exactly as the legacy ``with`` blocks did (in-flight and queued
     tasks run to completion, so their worker-side checkpoint writes still
     land), after which every future is settled and adopting-and-dropping

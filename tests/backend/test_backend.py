@@ -11,7 +11,8 @@ Three layers are pinned here:
   in-place forms bitwise;
 * kernel parity — the refactored hot-path kernels (distance matrix, Prim
   MST single and batched, frame-statistics reduction) must be
-  bit-identical under every available host backend.
+  bit-identical under every available host backend, and the matrix-free
+  batched Prim must match the per-frame dense-matrix oracle byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     DEFAULT_BACKEND,
@@ -164,14 +167,7 @@ class TestStrictNamespaceGuard:
             observed = portable.minimum_update(portable.copy(accumulator), update)
             assert np.array_equal(expected, observed)
 
-            matrix = rng.random((3, 5, 5))
             batch_rows = np.arange(3)
-            cols = rng.integers(0, 5, size=3)
-            assert np.array_equal(
-                fast.take_rows(matrix, batch_rows, cols),
-                portable.take_rows(matrix, batch_rows, cols),
-            )
-
             flat = rng.random((3, 25))
             pairs = rng.integers(0, 25, size=3)
             assert np.array_equal(
@@ -244,3 +240,57 @@ class TestKernelParity:
         columns = frame_statistics_columns(frames, backend=backend_name)
         for frame, statistics in zip(frames, columns):
             assert statistics == frame_statistics(frame)
+
+
+@st.composite
+def frame_batches(draw):
+    """``(B, n, d)`` frames rich in ties: coarse grids and duplicated points."""
+    batch = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=40))
+    dimension = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        # Few distinct coordinates: equal edge lengths and coincident nodes.
+        values = st.integers(min_value=0, max_value=4).map(float)
+    else:
+        values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    flat = draw(
+        st.lists(values, min_size=batch * n * dimension, max_size=batch * n * dimension)
+    )
+    frames = np.asarray(flat, dtype=float).reshape(batch, n, dimension)
+    if n > 1:
+        copies = draw(st.lists(st.tuples(
+            st.integers(0, batch - 1), st.integers(0, n - 1), st.integers(0, n - 1)
+        ), max_size=n))
+        for frame, source, target in copies:
+            frames[frame, target] = frames[frame, source]
+    return frames
+
+
+@pytest.mark.parametrize("backend_name", HOST_BACKENDS)
+class TestMatrixFreePrimOracle:
+    """Batched Prim equals the per-frame dense-matrix Prim, byte for byte."""
+
+    @given(frames=frame_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_per_frame_dense_prim(self, backend_name, frames):
+        backend = resolve_backend(backend_name)
+        observed = [
+            backend.to_host(column)
+            for column in minimum_spanning_edges_batch(
+                backend.from_host(frames), backend=backend
+            )
+        ]
+        batch, n = frames.shape[0], frames.shape[1]
+        for column in observed:
+            assert column.shape == (batch, max(n - 1, 0))
+        for index, frame in enumerate(frames):
+            us, vs, lengths = minimum_spanning_edges_from_squared(
+                squared_distance_matrix(frame)
+            )
+            assert observed[0][index].astype(np.int64).tobytes() == (
+                us.astype(np.int64).tobytes()
+            )
+            assert observed[1][index].astype(np.int64).tobytes() == (
+                vs.astype(np.int64).tobytes()
+            )
+            assert observed[2][index].tobytes() == lengths.tobytes()

@@ -20,7 +20,6 @@ from repro.simulation.engine import (
 from repro.simulation.runner import (
     collect_frame_statistics,
     run_fixed_range,
-    stationary_critical_range,
 )
 from repro.stats.rng import RandomSource
 
@@ -73,11 +72,6 @@ class TestBitIdenticalParallelism:
     def test_collect_frame_statistics(self):
         serial = collect_frame_statistics(parallel_config(1))
         parallel = collect_frame_statistics(parallel_config(3))
-        assert serial == parallel
-
-    def test_stationary_critical_range(self):
-        serial = stationary_critical_range(15, 150.0, iterations=12, seed=7, workers=1)
-        parallel = stationary_critical_range(15, 150.0, iterations=12, seed=7, workers=4)
         assert serial == parallel
 
     def test_more_workers_than_iterations(self):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.metrics import range_for_connectivity_fraction
+from repro.simulation.results import pool_frame_statistics
 from repro.simulation.runner import (
     collect_frame_statistics,
     run_fixed_range,
@@ -104,3 +106,45 @@ class TestStationaryCriticalRange:
     def test_invalid_confidence(self):
         with pytest.raises(ConfigurationError):
             stationary_critical_range(10, 100.0, iterations=10, confidence=0.0)
+
+    def test_invalid_iterations(self):
+        with pytest.raises(ConfigurationError):
+            stationary_critical_range(10, 100.0, iterations=0)
+
+
+def per_placement_stationary_range(
+    node_count, side, dimension, iterations, seed, confidence
+):
+    """Oracle: one single-step stationary iteration per placement, pooled."""
+    config = SimulationConfig(
+        network=NetworkConfig(node_count=node_count, side=side, dimension=dimension),
+        mobility=MobilitySpec.stationary(),
+        steps=1,
+        iterations=iterations,
+        seed=seed,
+    )
+    pooled = pool_frame_statistics(collect_frame_statistics(config))
+    return range_for_connectivity_fraction(pooled, confidence)
+
+
+class TestStationaryBatchedDraw:
+    """The one-batch placement draw equals the per-placement path bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("node_count", [1, 2, 17])
+    @pytest.mark.parametrize("confidence", [0.5, 0.99, 1.0])
+    def test_matches_per_placement_path(self, dimension, node_count, confidence):
+        for seed in (0, 11):
+            batched = stationary_critical_range(
+                node_count, 300.0, dimension=dimension, iterations=37,
+                seed=seed, confidence=confidence,
+            )
+            oracle = per_placement_stationary_range(
+                node_count, 300.0, dimension, 37, seed, confidence
+            )
+            assert batched.hex() == oracle.hex()
+
+    def test_strict_backend_matches(self):
+        assert stationary_critical_range(
+            17, 300.0, iterations=23, seed=5, backend="numpy-strict"
+        ).hex() == per_placement_stationary_range(17, 300.0, 2, 23, 5, 0.99).hex()

@@ -87,6 +87,29 @@ def produce_shared_and_die(path: str):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def produce_shared_and_die_creating(path: str):
+    """Worker body killed inside segment creation: the ``/dev/shm`` file
+    exists, but ``SharedMemory.__init__`` never got to register it (what
+    a supervisor's SIGKILL of a broken pool's survivor can hit)."""
+    import secrets
+    from multiprocessing import shared_memory
+
+    import _posixshmem
+
+    class DiesWhileCreating:
+        def __init__(self, name=None, create=False, size=0):
+            name = name or f"psm_{secrets.token_hex(4)}"
+            descriptor = _posixshmem.shm_open(
+                f"/{name}", os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+            )
+            os.ftruncate(descriptor, size)
+            Path(path).write_text(name)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    shared_memory.SharedMemory = DiesWhileCreating
+    share_columns(frame_columns(seed=5), "shm")
+
+
 class TestTransportSelection:
     def test_validate_rejects_unknown_names(self):
         with pytest.raises(ConfigurationError):
@@ -293,6 +316,36 @@ class TestKillSafety:
             with ProcessPoolExecutor(max_workers=1) as pool:
                 try:
                     pool.submit(produce_shared_and_die, {str(info)!r}).result()
+                    raise SystemExit("worker survived")
+                except BrokenProcessPool:
+                    pass
+            """,
+            expect_sigkill=False,
+        )
+        name = info.read_text().strip()
+        assert name
+        assert _wait_gone({name}), f"leaked segment {name}"
+
+    def test_worker_killed_inside_segment_creation_leaves_no_segments(
+        self, tmp_path
+    ):
+        """SIGKILL the worker after the segment file exists but before
+        CPython would register it: the name was registered up front, so
+        the tracker still reaps the file."""
+        info = tmp_path / "info"
+        _run_script(
+            f"""
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            from tests.simulation.test_shm_transport import (
+                produce_shared_and_die_creating,
+            )
+            from repro.simulation.shm import ensure_shared_memory_tracker
+
+            ensure_shared_memory_tracker()
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                try:
+                    pool.submit(produce_shared_and_die_creating, {str(info)!r}).result()
                     raise SystemExit("worker survived")
                 except BrokenProcessPool:
                     pass

@@ -104,9 +104,16 @@ class TestSpanTree:
         for task in names["task"]:
             assert parent_name(task) == "scenario"
         iterations = names["iteration"]
-        assert len(iterations) == 32  # 2 connectivity + 30 stationary
+        assert len(iterations) == 2  # the connectivity iterations
         for iteration in iterations:
             assert parent_name(iteration) == "task"
+        # The 30 stationary placements are drawn and reduced in one batch:
+        # one span per rstationary estimate, also under a task.
+        stationary = names["stationary"]
+        assert stationary
+        for record in stationary:
+            assert record["attrs"]["placements"] == 30
+            assert parent_name(record) == "task"
 
         # Spans genuinely crossed process boundaries: the scheduler's
         # spans and the workers' iteration spans carry different pids.
